@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/while -run='^$$' -fuzz='^FuzzWhileParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analyze -run='^$$' -fuzz='^FuzzAnalyze$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tuple -run='^$$' -fuzz='^FuzzRelation$$' -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME)
 
 # Durability soak under the race detector: replay the write-ahead log

@@ -713,3 +713,32 @@ func BenchmarkP9_PlannerAblation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkP10_ShardedTC measures shard-parallel semi-naive TC (random
+// graph, 192 nodes, 6n edges) warm, at 1, 2 and 8 shards — the steady
+// state behind experiment P10. One untimed evaluation per shard count
+// runs first, so no configuration pays a warm-up the others skip.
+func BenchmarkP10_ShardedTC(b *testing.B) {
+	const prog = `
+		T(X,Y) :- E(X,Y).
+		T(X,Z) :- E(X,Y), T(Y,Z).
+	`
+	for _, shards := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			u := value.New()
+			in := gen.Random(u, "E", 192, 6*192, 192)
+			p := parser.MustParse(prog, u)
+			opt := &declarative.Options{Shards: shards}
+			if _, err := declarative.Eval(p, in, u, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := declarative.Eval(p, in, u, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

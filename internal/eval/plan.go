@@ -12,8 +12,11 @@
 // Plans are memoized on the rule keyed by a cardinality signature:
 // the size decade (digit count) of every joined relation, 4 bits per
 // positive literal. Re-planning therefore happens only when some
-// relation's cardinality crosses a decade — cheap enough to leave on
-// for every engine, while still adapting as a fixpoint's IDB grows.
+// relation's cardinality reaches a decade not seen before — cheap
+// enough to leave on for every engine, while still adapting as a
+// fixpoint's IDB grows. The memo holds several signatures, so a
+// Datalog¬¬ program whose relations flip between decades from stage
+// to stage plans each shape once, not once per stage.
 // A daemon serving many requests over the same program shares plans
 // across compilations through a PlanCache (see internal/serve).
 package eval
@@ -31,13 +34,16 @@ import (
 	"unchained/internal/value"
 )
 
+// planMemoCap bounds the per-rule plan memo. A rule of k joined
+// relations has at most 16^k signatures, but one evaluation visits a
+// handful; past the cap an arbitrary entry is evicted.
+const planMemoCap = 8
+
 // planState is the per-rule plan memo.
 type planState struct {
 	mu      sync.Mutex
-	valid   bool
-	sig     uint64
-	steps   []step
-	emitted string // dedup key of the last plan span emitted
+	memo    map[uint64][]step // cardinality signature -> schedule
+	emitted string            // dedup key of the last plan span emitted
 }
 
 // planFor returns the step schedule to enumerate with under ctx, and
@@ -62,11 +68,20 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	}
 	r.plan.mu.Lock()
 	defer r.plan.mu.Unlock()
-	if r.plan.valid && r.plan.sig == sig {
-		return r.plan.steps, true
+	if st, ok := r.plan.memo[sig]; ok {
+		return st, true
 	}
 	st := r.replan(ctx)
-	r.plan.sig, r.plan.steps, r.plan.valid = sig, st, true
+	if r.plan.memo == nil {
+		r.plan.memo = make(map[uint64][]step, planMemoCap)
+	}
+	if len(r.plan.memo) >= planMemoCap {
+		for k := range r.plan.memo {
+			delete(r.plan.memo, k)
+			break
+		}
+	}
+	r.plan.memo[sig] = st
 	return st, true
 }
 

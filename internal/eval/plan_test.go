@@ -199,6 +199,47 @@ func TestPlanCacheSharing(t *testing.T) {
 	}
 }
 
+// TestPlanMemoAlternatingSignatures: a rule whose joined relations
+// flip between size decades from stage to stage (the Datalog¬¬
+// pattern) must plan each cardinality signature once and reuse the
+// memoized schedule afterwards, not re-plan on every flip.
+func TestPlanMemoAlternatingSignatures(t *testing.T) {
+	u := value.New()
+	r, err := parser.ParseRule(`Q(X,Z) :- A(X), B(X,Z).`, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := Compile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two instances whose A and B sizes sit in different decades.
+	small, large := tuple.NewInstance(), tuple.NewInstance()
+	small.Insert("A", tuple.Tuple{u.Int(0)})
+	large.Insert("B", tuple.Tuple{u.Int(0), u.Int(0)})
+	for i := 0; i < 100; i++ {
+		small.Insert("B", tuple.Tuple{u.Int(int64(i)), u.Int(int64(i))})
+		large.Insert("A", tuple.Tuple{u.Int(int64(i))})
+	}
+	ctxs := []*Ctx{{In: small, DeltaLit: -1}, {In: large, DeltaLit: -1}}
+	if cr.planSig(ctxs[0]) == cr.planSig(ctxs[1]) {
+		t.Fatal("test instances share a cardinality signature")
+	}
+	first := make([]*step, len(ctxs))
+	for round := 0; round < 6; round++ {
+		i := round % 2
+		st, planned := cr.planFor(ctxs[i])
+		if !planned || len(st) == 0 {
+			t.Fatalf("round %d: no planner schedule", round)
+		}
+		if first[i] == nil {
+			first[i] = &st[0]
+		} else if &st[0] != first[i] {
+			t.Fatalf("round %d: signature %d was planned again", round, i)
+		}
+	}
+}
+
 // TestWarmIndexesCoversAllSources is the -race regression test for
 // the warm-path bug: WarmIndexes used to skip NegIn and Aux (and the
 // planner's mask-0 iterator source), so the first parallel stage

@@ -335,10 +335,10 @@ func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
 	return out
 }
 
-// WarmIndexes pre-builds every hash index the rules' match steps will
+// WarmIndexes pre-builds every index the rules' match steps will
 // probe against the context's instances — In, Delta, the Aux overlay,
-// and the NegIn reduct alike, including the mask-0 full-relation
-// index. Indexes are otherwise built lazily on first probe, which
+// and the NegIn reduct alike (full scans and fully bound probes need
+// none). Indexes are otherwise built lazily on first probe, which
 // mutates the shared relation — unsafe when several goroutines
 // evaluate rules of the same stage concurrently. Warming makes
 // subsequent Enumerate calls read-only on the instance. It also

@@ -18,8 +18,8 @@ import (
 // positional in our attribute-free setting).
 func Project(r *tuple.Relation, cols ...int) *tuple.Relation {
 	out := tuple.NewRelation(len(cols))
+	nt := make(tuple.Tuple, len(cols)) // Insert copies, so one buffer serves
 	r.Each(func(t tuple.Tuple) bool {
-		nt := make(tuple.Tuple, len(cols))
 		for i, c := range cols {
 			nt[i] = t[c]
 		}
@@ -126,12 +126,11 @@ type EqPair struct{ L, R int }
 // index is built on the right operand's join columns.
 func Join(a, b *tuple.Relation, on ...EqPair) *tuple.Relation {
 	out := tuple.NewRelation(a.Arity() + b.Arity())
+	nt := make(tuple.Tuple, 0, out.Arity()) // Insert copies, so one buffer serves
 	if len(on) == 0 {
 		a.Each(func(ta tuple.Tuple) bool {
 			b.Each(func(tb tuple.Tuple) bool {
-				nt := make(tuple.Tuple, 0, len(ta)+len(tb))
-				nt = append(nt, ta...)
-				nt = append(nt, tb...)
+				nt = append(append(nt[:0], ta...), tb...)
 				out.Insert(nt)
 				return true
 			})
@@ -144,6 +143,7 @@ func Join(a, b *tuple.Relation, on ...EqPair) *tuple.Relation {
 		mask |= 1 << uint(p.R)
 	}
 	pattern := make(tuple.Tuple, b.Arity())
+	var it tuple.Iterator
 	a.Each(func(ta tuple.Tuple) bool {
 		for i := range pattern {
 			pattern[i] = value.None
@@ -151,10 +151,9 @@ func Join(a, b *tuple.Relation, on ...EqPair) *tuple.Relation {
 		for _, p := range on {
 			pattern[p.R] = ta[p.L]
 		}
-		for _, tb := range b.Probe(mask, pattern) {
-			nt := make(tuple.Tuple, 0, len(ta)+len(tb))
-			nt = append(nt, ta...)
-			nt = append(nt, tb...)
+		b.ProbeIter(mask, pattern, &it)
+		for tb, ok := it.Next(); ok; tb, ok = it.Next() {
+			nt = append(append(nt[:0], ta...), tb...)
 			out.Insert(nt)
 		}
 		return true

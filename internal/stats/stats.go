@@ -130,9 +130,10 @@ type Summary struct {
 	// CowSnapshots, CowPromotions, CowTuplesCopied and
 	// CowIndexesCarried expose the storage layer's copy-on-write
 	// traffic for the run: instance snapshots taken, relations
-	// promoted onto private copies by a post-snapshot write, tuples
-	// physically copied by those promotions, and warm hash indexes
-	// carried across instead of rebuilt (see docs/STORAGE.md).
+	// promoted onto private copies by a post-snapshot write, arena
+	// rows physically copied by those promotions (tombstoned rows not
+	// yet compacted included), and warm posting-list indexes carried
+	// across instead of rebuilt (see docs/STORAGE.md).
 	CowSnapshots      uint64 `json:"cow_snapshots,omitempty"`
 	CowPromotions     uint64 `json:"cow_promotions,omitempty"`
 	CowTuplesCopied   uint64 `json:"cow_tuples_copied,omitempty"`

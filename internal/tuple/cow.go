@@ -1,10 +1,11 @@
-// Copy-on-write relation storage. A Relation's tuple set and its
-// secondary indexes live in a relData that snapshots share by
-// pointer: Instance.Snapshot (and Clone) hands every child the same
+// Copy-on-write relation storage. A Relation's rows and its
+// secondary indexes live in a relData (arena.go) that snapshots share
+// by pointer: Instance.Snapshot (and Clone) hands every child the same
 // relData and marks both sides shared. The first mutation after a
 // snapshot promotes the writer onto a private copy (a fresh
-// generation), carrying the warm indexes across so the fork does not
-// re-pay index construction for data it did not change.
+// generation) — a memmove of the flat arrays — carrying the warm
+// indexes across so the fork does not re-pay index construction for
+// data it did not change.
 //
 // Concurrency contract: taking snapshots of the same Relation or
 // Instance from multiple goroutines is safe, and so is reading
@@ -13,20 +14,10 @@
 // Relation, exactly as before the COW rewrite.
 package tuple
 
-import "sync/atomic"
-
-// relData is the structurally shared payload of a Relation: one
-// generation of the tuple set plus the hash indexes built over it.
-// Once a relData is reachable from more than one Relation it is
-// frozen — only a sole owner mutates tuples or adds indexes in place.
-type relData struct {
-	// gen stamps the generation: promote() bumps it on the private
-	// copy, so two relations with the same data pointer (and hence
-	// equal gen) are known-identical without comparing tuples.
-	gen     uint64
-	tuples  map[string]Tuple
-	indexes map[uint32]map[string][]Tuple
-}
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Counters tallies copy-on-write traffic. All methods are safe on a
 // nil receiver and safe for concurrent use, so engines can hang one
@@ -46,10 +37,11 @@ type CounterStats struct {
 	// Promotions counts relations copied onto a private generation by
 	// the first write after a snapshot.
 	Promotions uint64 `json:"cow_promotions"`
-	// TuplesCopied counts tuples physically copied by promotions (the
-	// work a deep clone would have done eagerly for every relation).
+	// TuplesCopied counts arena rows physically copied by promotions
+	// (the work a deep clone would have done eagerly for every
+	// relation), tombstoned rows not yet compacted included.
 	TuplesCopied uint64 `json:"cow_tuples_copied"`
-	// IndexesCarried counts warm hash indexes carried across
+	// IndexesCarried counts warm posting-list indexes carried across
 	// promotions instead of being rebuilt from scratch.
 	IndexesCarried uint64 `json:"cow_indexes_carried"`
 }
@@ -109,69 +101,53 @@ func (r *Relation) Shared() bool { return r.shared.Load() }
 func (r *Relation) Snapshot() *Relation {
 	if len(r.own) > 0 {
 		// Fold the private overlay indexes into a fresh frozen relData
-		// (same generation: the tuple set is unchanged). The old
-		// relData stays untouched for any siblings still holding it.
-		merged := make(map[uint32]map[string][]Tuple, len(r.data.indexes)+len(r.own))
-		for m, idx := range r.data.indexes {
-			merged[m] = idx
-		}
-		for m, idx := range r.own {
-			merged[m] = idx
-		}
-		r.data = &relData{gen: r.data.gen, tuples: r.data.tuples, indexes: merged}
+		// (same generation and arrays: the tuple set is unchanged).
+		// The old relData stays untouched for any siblings still
+		// holding it.
+		d := *r.data
+		d.indexes = slices.Concat(r.data.indexes, r.own)
+		r.data = &d
 		r.own = nil
 	}
 	r.shared.Store(true)
-	c := &Relation{arity: r.arity, data: r.data, fp: r.fp, fpValid: r.fpValid, cow: r.cow}
+	c := &Relation{arity: r.arity, data: r.data, cow: r.cow}
 	c.shared.Store(true)
 	return c
 }
 
 // promote gives r a private copy of its shared storage; it must be
-// called before any in-place mutation while r is shared. Tuples are
-// copied and every warm index is carried across with its buckets
-// capacity-trimmed, so a later append reallocates instead of
-// clobbering a sibling's backing array.
+// called before any in-place mutation while r is shared. The flat
+// arrays are copied wholesale, and every warm index is carried across
+// with its buckets capacity-trimmed, so a later append reallocates
+// instead of clobbering a sibling's backing array.
 func (r *Relation) promote() {
 	if !r.shared.Load() {
 		return
 	}
 	d := r.data
-	tuples := make(map[string]Tuple, len(d.tuples))
-	for k, t := range d.tuples {
-		tuples[k] = t
-	}
-	var indexes map[uint32]map[string][]Tuple
+	nd := d.copied()
 	carried := len(d.indexes) + len(r.own)
 	if carried > 0 {
-		indexes = make(map[uint32]map[string][]Tuple, carried)
-		carry := func(src map[uint32]map[string][]Tuple) {
-			for mask, idx := range src {
-				ni := make(map[string][]Tuple, len(idx))
-				for k, bucket := range idx {
-					ni[k] = bucket[:len(bucket):len(bucket)]
-				}
-				indexes[mask] = ni
+		nd.indexes = make([]index, 0, carried)
+		for _, ix := range slices.Concat(d.indexes, r.own) {
+			lists := make(postings, len(ix.lists))
+			for k, b := range ix.lists {
+				b.rows = b.rows[:len(b.rows):len(b.rows)]
+				lists[k] = b
 			}
+			nd.indexes = append(nd.indexes, index{ix.mask, lists})
 		}
-		carry(d.indexes)
-		carry(r.own)
 	}
-	r.data = &relData{gen: d.gen + 1, tuples: tuples, indexes: indexes}
+	r.data = nd
 	r.own = nil
 	r.shared.Store(false)
-	r.cow.addPromotion(len(tuples), carried)
+	r.cow.addPromotion(d.rows(), carried)
 }
 
-// DeepClone returns an eager deep copy of the relation: fresh tuple
-// map, no indexes, no sharing. It reproduces the pre-COW Clone and
-// exists for the fork benchmarks that quantify the COW win.
+// DeepClone returns an eager deep copy of the relation: fresh arrays
+// holding only the live rows, no indexes, no sharing. It reproduces
+// the pre-COW Clone and exists for the fork benchmarks that quantify
+// the COW win.
 func (r *Relation) DeepClone() *Relation {
-	c := NewRelation(r.arity)
-	for k, t := range r.data.tuples {
-		c.data.tuples[k] = t
-	}
-	c.fp, c.fpValid = r.fp, r.fpValid
-	c.cow = r.cow
-	return c
+	return &Relation{arity: r.arity, data: r.data.compacted(), cow: r.cow}
 }

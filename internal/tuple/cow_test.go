@@ -103,7 +103,7 @@ func TestSnapshotReusesWarmIndexes(t *testing.T) {
 	// Warm an index on column 0 while r owns its data.
 	warm := r.Probe(1, tup(u.Int(3), value.None))
 	snap := r.Snapshot()
-	if got, ok := snap.data.indexes[1]; !ok || got == nil {
+	if findIndex(snap.data.indexes, 1) == nil {
 		t.Fatalf("snapshot did not inherit the warm index")
 	}
 	if got := snap.Probe(1, tup(u.Int(3), value.None)); len(got) != len(warm) {
@@ -112,14 +112,14 @@ func TestSnapshotReusesWarmIndexes(t *testing.T) {
 	// Indexes built while shared go into the private overlay, and a
 	// later snapshot folds them into the common storage.
 	_ = snap.Probe(2, tup(value.None, u.Int(9)))
-	if _, ok := snap.data.indexes[2]; ok {
+	if findIndex(snap.data.indexes, 2) != nil {
 		t.Fatalf("index built while shared leaked into frozen storage")
 	}
-	if _, ok := snap.own[2]; !ok {
+	if findIndex(snap.own, 2) == nil {
 		t.Fatalf("index built while shared missing from overlay")
 	}
 	snap2 := snap.Snapshot()
-	if _, ok := snap2.data.indexes[2]; !ok {
+	if findIndex(snap2.data.indexes, 2) == nil {
 		t.Fatalf("second snapshot did not fold overlay indexes")
 	}
 }

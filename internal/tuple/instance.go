@@ -150,7 +150,7 @@ func (in *Instance) SnapshotWith(c *Counters) *Instance {
 }
 
 // DeepClone returns an eager deep copy (the pre-COW Clone): every
-// relation's tuple map is copied up front and nothing is shared. It
+// relation's rows are copied up front and nothing is shared. It
 // exists for benchmarks and for callers that want to pay the whole
 // copy immediately.
 func (in *Instance) DeepClone() *Instance {
@@ -233,9 +233,14 @@ func (in *Instance) EachRel(fn func(name string, r *Relation)) {
 // (with duplicates) and returns the extended slice. Callers dedupe.
 func (in *Instance) ActiveDomain(dst []value.Value) []value.Value {
 	for _, r := range in.rels {
-		for _, t := range r.data.tuples {
-			dst = append(dst, t...)
+		if d := r.data; d.ndead == 0 {
+			dst = append(dst, d.vals...)
+			continue
 		}
+		r.Each(func(t Tuple) bool {
+			dst = append(dst, t...)
+			return true
+		})
 	}
 	return dst
 }

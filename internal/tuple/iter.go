@@ -5,47 +5,80 @@
 // matcher's hot loop and an early exit (a satisfied existential, a
 // canceled enumeration) stops pulling immediately.
 //
-// An Iterator captures its source once, at reset time: the single
-// stored tuple for a fully-bound probe, an index bucket slice header
-// otherwise. Later inserts append to buckets (never disturbing the
-// captured header's fixed length) and deletes rebuild buckets into
-// fresh slices, so the cursor stays memory-safe — stale at worst —
-// under the same "engines may mutate between probes" contract the
-// slice-returning Probe always had.
+// An Iterator captures its source once, at reset time: the arena, the
+// tombstone bitset and either a row range (a full scan or a
+// fully-bound hit) or a posting-list bucket, all by slice header.
+// Rows are append-only and never rewritten; later inserts append
+// beyond the captured lengths, deletes only set tombstone bits (which
+// the cursor may or may not observe), and compaction and promotion
+// move the relation onto fresh arrays. So the cursor stays
+// memory-safe — yielding a subset of the tuples present when it was
+// taken at worst — under the "engines may mutate between probes"
+// contract the slice-returning Probe always had.
 package tuple
+
+import "unchained/internal/value"
 
 // Iterator is a cursor over the results of one relation probe. The
 // zero value is an exhausted iterator; ProbeIter/ScanIter reset it.
-// An Iterator is single-goroutine and may be reused across probes;
-// reuse recycles its internal key scratch buffer.
+// An Iterator is single-goroutine and may be reused across probes.
 type Iterator struct {
-	one     Tuple   // pending single result (fully-bound probe hit)
-	tuples  []Tuple // remaining candidates (bucket or snapshot)
-	i       int
-	filter  bool // scan mode: candidates still need the mask test
+	vals  []value.Value
+	dead  []uint64
+	arity int
+	// rows holds a bucket's row ids; nil walks row ids i..n-1 directly.
+	rows []int32
+	i, n int
+	// filter re-checks the masked columns against pattern: scan mode,
+	// and buckets of hashed (lossy) index keys.
+	filter  bool
 	mask    uint32
 	pattern Tuple
-	key     []byte  // scratch for allocation-free index lookups
-	scratch []Tuple // scratch for allocation-free scan-mode matches
 }
 
 // Next returns the next matching tuple, or ok=false when the probe is
-// exhausted. The returned tuple is shared storage; callers must not
-// mutate it.
+// exhausted. The returned tuple is a capacity-trimmed view of shared
+// storage; callers must not mutate it.
 func (it *Iterator) Next() (t Tuple, ok bool) {
-	if it.one != nil {
-		t, it.one = it.one, nil
-		return t, true
-	}
-	for it.i < len(it.tuples) {
-		t := it.tuples[it.i]
-		it.i++
+	a, rows, dead := it.arity, it.rows, it.dead
+	for i := it.i; i < it.n; {
+		row := i
+		if rows != nil {
+			row = int(rows[i])
+		}
+		i++
+		if dead != nil && dead[row>>6]&(1<<(uint(row)&63)) != 0 {
+			continue
+		}
+		o := row * a
+		t := Tuple(it.vals[o : o+a : o+a])
 		if it.filter && !maskEq(t, it.mask, it.pattern) {
 			continue
 		}
+		it.i = i
 		return t, true
 	}
+	it.i = it.n
 	return nil, false
+}
+
+// collect drains the iterator into a fresh slice (nil when empty).
+// Unfiltered cursors know their candidate count up front.
+func (it *Iterator) collect() []Tuple {
+	var out []Tuple
+	if !it.filter && it.n > it.i {
+		out = make([]Tuple, 0, it.n-it.i)
+	}
+	for {
+		t, ok := it.Next()
+		if !ok {
+			if len(out) == 0 {
+				return nil
+			}
+			return out
+		}
+		out = append(out, t)
+	}
 }
 
 // maskEq reports whether t agrees with pattern on every masked column.
@@ -58,66 +91,59 @@ func maskEq(t Tuple, mask uint32, pattern Tuple) bool {
 	return true
 }
 
-// appendMaskKey appends the packed values of t at the masked columns
-// to dst (the []byte twin of maskKey, for map lookups that the
-// compiler can keep allocation-free via idx[string(dst)]).
-func appendMaskKey(dst []byte, t Tuple, mask uint32) []byte {
-	for i, v := range t {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// reset points it at d's arrays with an empty range. Without dead
+// rows the cursor skips tombstone checks altogether: rows deleted
+// later may then still be yielded, which the cursor contract allows.
+func (it *Iterator) reset(d *relData) {
+	*it = Iterator{vals: d.vals, arity: d.arity}
+	if d.ndead > 0 {
+		it.dead = d.dead
 	}
-	return dst
 }
 
 // ProbeIter resets it to cursor over the tuples whose values at the
 // masked columns equal the corresponding entries of pattern (the
-// iterator form of Probe). A zero mask yields every tuple via the
-// cached mask-0 index — unlike Tuples(), repeated full probes of an
-// unchanged relation allocate nothing; a fully-bound mask is a direct
-// hash hit; anything else is an index-bucket cursor.
+// iterator form of Probe). A zero mask walks the arena directly; a
+// fully-bound mask is a direct set lookup; anything else is a cursor
+// over one posting-list bucket, with hashed keys re-checked.
 func (r *Relation) ProbeIter(mask uint32, pattern Tuple, it *Iterator) {
-	it.one, it.tuples, it.i, it.filter = nil, nil, 0, false
-	if mask == 0 {
-		it.tuples = r.index(0)[""]
-		return
-	}
-	it.key = appendMaskKey(it.key[:0], pattern, mask)
-	if r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		if stored, ok := r.data.tuples[string(it.key)]; ok {
-			it.one = stored
+	d := r.data
+	it.reset(d)
+	switch {
+	case mask == 0:
+		it.n = d.rows()
+	case r.fullMask(mask):
+		if row, _ := d.find(pattern, hashVals(pattern)); row >= 0 {
+			it.i, it.n = row, row+1
 		}
-		return
+	default:
+		it.rows = r.index(mask)[indexKey(pattern, mask)].rows
+		it.n = len(it.rows)
+		if lossyMask(mask) {
+			it.filter, it.mask, it.pattern = true, mask, pattern
+		}
 	}
-	it.tuples = r.index(mask)[string(it.key)]
 }
 
 // ScanIter is the index-free variant of ProbeIter used by the
-// ablation benchmarks: it filters the tuple map into the iterator's
-// recycled scratch buffer (no per-probe allocation once warm, like
-// the slice-returning ProbeScan), building no indexes — so
-// warmed-instance parallel stages stay read-only in scan mode too.
-// A reset invalidates the previous probe's cursor, so reusing the
-// scratch across probes is safe under the single-goroutine contract.
+// ablation benchmarks: it walks every row and filters on the mask,
+// building no indexes — so warmed-instance parallel stages stay
+// read-only in scan mode too.
 func (r *Relation) ScanIter(mask uint32, pattern Tuple, it *Iterator) {
-	it.one, it.i, it.filter = nil, 0, false
-	it.scratch = it.scratch[:0]
-	for _, t := range r.data.tuples {
-		if mask == 0 || maskEq(t, mask, pattern) {
-			it.scratch = append(it.scratch, t)
-		}
+	d := r.data
+	it.reset(d)
+	it.n = d.rows()
+	if mask != 0 {
+		it.filter, it.mask, it.pattern = true, mask, pattern
 	}
-	it.tuples = it.scratch
 }
 
-// BuildIndex materializes the hash index for the given column mask so
-// that later probes of it are read-only on the relation (see
-// eval.WarmIndexes). A fully-bound mask needs no index (probes hit
-// the tuple map directly) and is a no-op.
+// BuildIndex materializes the posting lists for the given column mask
+// so that later probes of it are read-only on the relation (see
+// eval.WarmIndexes). Full scans and fully-bound masks need no index
+// and are no-ops.
 func (r *Relation) BuildIndex(mask uint32) {
-	if mask != 0 && r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		return
+	if mask != 0 && !r.fullMask(mask) {
+		r.index(mask)
 	}
-	r.index(mask)
 }

@@ -3,20 +3,22 @@
 // constant tuples of a fixed arity), and database instances (a finite
 // map from relation names to relation instances).
 //
-// Relations are hash sets of packed tuples with optional secondary
-// hash indexes built on demand by the rule matcher. Instances carry a
+// A relation stores its tuples as rows of a flat, append-only value
+// arena with an open-addressing set table over seeded row hashes, and
+// answers partially bound probes from int32 posting-list indexes
+// built on demand by the rule matcher (arena.go). Instances carry a
 // schema (relation name -> arity) and support the cloning, equality,
 // and fingerprinting operations the forward-chaining engines need for
 // stage iteration and cycle detection (Section 4.2).
 //
 // Cloning is copy-on-write (cow.go): Instance.Snapshot and Clone are
 // O(#relations) structural shares, and a relation's storage is only
-// copied when one side of a fork first writes to it.
+// copied — a memmove of its flat arrays — when one side of a fork
+// first writes to it.
 package tuple
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -28,7 +30,9 @@ import (
 type Tuple []value.Value
 
 // Key packs t into a compact string usable as a map key. Two tuples
-// of the same arity have equal keys iff they are equal.
+// of the same arity have equal keys iff they are equal. Relations do
+// not use it (they hash rows in place); it serves callers that key
+// their own maps by tuple.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	b.Grow(4 * len(t))
@@ -70,16 +74,13 @@ func (t Tuple) String(u *value.Universe) string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// hashSeed is the process-wide seed for relation fingerprints. All
-// fingerprints in one process are comparable with each other.
-var hashSeed = maphash.MakeSeed()
-
 // Relation is a finite set of constant tuples of a fixed arity.
 // The zero Relation is not ready; use NewRelation.
 //
-// Storage is copy-on-write (see cow.go): data points at a possibly
-// shared relData holding the tuple map and the lazily built secondary
-// hash indexes (column-set bitmask -> packed key -> tuples). While
+// Storage is an append-only row arena (arena.go) behind a
+// copy-on-write handle (cow.go): data points at a possibly shared
+// relData holding the rows, the set table and the lazily built
+// posting-list indexes (column-set bitmask -> key -> row ids). While
 // shared, mutations first promote onto a private generation, and
 // freshly built indexes go into the private own overlay instead of
 // the frozen shared map.
@@ -88,121 +89,69 @@ type Relation struct {
 	data  *relData
 	// own holds indexes built while data was shared; the frozen base
 	// cannot accept new masks without racing sibling readers.
-	own map[uint32]map[string][]Tuple
+	own []index
 	// shared marks the storage as reachable from a snapshot. It is
 	// atomic so concurrent Snapshot calls on the same relation are
 	// race-free.
 	shared atomic.Bool
-	// fp caches the order-independent fingerprint; fpValid marks it.
-	fp      uint64
-	fpValid bool
 	// cow, when set, tallies snapshot/promote traffic (see Counters).
 	cow *Counters
 }
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{arity: arity, data: &relData{tuples: make(map[string]Tuple)}}
+	return &Relation{arity: arity, data: newRelData(arity)}
 }
 
 // Arity reports the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
 
 // Len reports the number of tuples.
-func (r *Relation) Len() int { return len(r.data.tuples) }
+func (r *Relation) Len() int { return r.data.live() }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.data.tuples) == 0 }
+func (r *Relation) Empty() bool { return r.data.live() == 0 }
 
-// maskKey packs the values of t at the masked columns.
-func maskKey(t Tuple, mask uint32) string {
-	var b strings.Builder
-	for i, v := range t {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-	}
-	return b.String()
-}
-
-// indexInsert adds the stored tuple to every live index. Appending
-// never disturbs probe slices already handed out (their lengths are
-// fixed), so engines may mutate between probes safely. Only called
-// while r solely owns its data (promote guarantees own is nil).
-func (r *Relation) indexInsert(stored Tuple) {
-	for mask, idx := range r.data.indexes {
-		k := maskKey(stored, mask)
-		idx[k] = append(idx[k], stored)
-	}
-}
-
-// indexDelete removes the tuple from every live index. Buckets are
-// rebuilt into fresh slices so probe slices already handed out keep
-// their (stale but memory-safe) contents. The mask-0 index is a
-// single bucket holding every tuple, so "rebuild the bucket" would
-// make each delete O(n); it is dropped instead and rebuilt lazily by
-// the next full-relation probe.
-func (r *Relation) indexDelete(t Tuple) {
-	for mask, idx := range r.data.indexes {
-		if mask == 0 {
-			delete(r.data.indexes, 0)
-			continue
-		}
-		k := maskKey(t, mask)
-		old := idx[k]
-		if len(old) == 0 {
-			continue
-		}
-		fresh := make([]Tuple, 0, len(old)-1)
-		for _, o := range old {
-			if !o.Equal(t) {
-				fresh = append(fresh, o)
-			}
-		}
-		if len(fresh) == 0 {
-			delete(idx, k)
-		} else {
-			idx[k] = fresh
-		}
-	}
-}
-
-// Insert adds t to the relation, reporting whether it was new.
-// Insert panics if the arity does not match: arities are schema-level
-// invariants and a mismatch is a programming error.
+// Insert adds t to the relation, reporting whether it was new. The
+// relation stores a copy of t's values. Insert panics if the arity
+// does not match: arities are schema-level invariants and a mismatch
+// is a programming error.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("tuple: insert arity %d into relation of arity %d", len(t), r.arity))
 	}
-	k := t.Key()
-	if _, ok := r.data.tuples[k]; ok {
+	return r.insertHashed(t, hashVals(t))
+}
+
+// insertHashed is Insert for a tuple of the right arity whose row
+// hash h is already known.
+func (r *Relation) insertHashed(t Tuple, h uint64) bool {
+	row, slot := r.data.find(t, h)
+	if row >= 0 {
 		return false
 	}
 	r.promote()
-	stored := t.Clone()
-	r.data.tuples[k] = stored
-	r.indexInsert(stored)
-	r.fpValid = false
+	r.data.add(t, h, slot)
 	return true
 }
 
-// Delete removes t, reporting whether it was present.
+// Delete removes t, reporting whether it was present. The row is
+// tombstoned in place; once dead rows outnumber live ones the
+// relation compacts into fresh arrays and drops its indexes.
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	k := t.Key()
-	if _, ok := r.data.tuples[k]; !ok {
+	row, _ := r.data.find(t, hashVals(t))
+	if row < 0 {
 		return false
 	}
 	r.promote()
-	delete(r.data.tuples, k)
-	r.indexDelete(t)
-	r.fpValid = false
+	d := r.data
+	d.kill(row)
+	if d.ndead > d.live() {
+		r.data = d.compacted()
+	}
 	return true
 }
 
@@ -211,27 +160,29 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	_, ok := r.data.tuples[t.Key()]
-	return ok
+	row, _ := r.data.find(t, hashVals(t))
+	return row >= 0
 }
 
-// Each calls fn for every tuple in unspecified order; fn must not
+// Each calls fn for every tuple in insertion order; fn must not
 // mutate the relation. If fn returns false, iteration stops.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for _, t := range r.data.tuples {
-		if !fn(t) {
+	d := r.data
+	for row, n := 0, d.rows(); row < n; row++ {
+		if !d.isDead(row) && !fn(d.row(row)) {
 			return
 		}
 	}
 }
 
-// Tuples returns all tuples in unspecified order. The returned slice
+// Tuples returns all tuples in insertion order. The returned slice
 // is fresh but the tuples are shared; callers must not mutate them.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.data.tuples))
-	for _, t := range r.data.tuples {
+	out := make([]Tuple, 0, r.Len())
+	r.Each(func(t Tuple) bool {
 		out = append(out, t)
-	}
+		return true
+	})
 	return out
 }
 
@@ -259,19 +210,24 @@ func (r *Relation) Clone() *Relation { return r.Snapshot() }
 
 // Equal reports whether r and o hold exactly the same tuples.
 // Relations sharing the same storage generation (e.g. a snapshot and
-// its untouched parent) compare in O(1).
+// its untouched parent) compare in O(1), and so do most unequal ones
+// (their sizes or hash sums differ).
 func (r *Relation) Equal(o *Relation) bool {
 	if r.arity != o.arity {
 		return false
 	}
-	if r.data == o.data {
+	a, b := r.data, o.data
+	if a == b {
 		return true
 	}
-	if len(r.data.tuples) != len(o.data.tuples) {
+	if a.live() != b.live() || a.fp != b.fp {
 		return false
 	}
-	for k := range r.data.tuples {
-		if _, ok := o.data.tuples[k]; !ok {
+	for row, h := range a.hash {
+		if a.isDead(row) {
+			continue
+		}
+		if hit, _ := b.find(a.row(row), h); hit < 0 {
 			return false
 		}
 	}
@@ -281,9 +237,13 @@ func (r *Relation) Equal(o *Relation) bool {
 // UnionInPlace inserts every tuple of o into r, reporting how many
 // were new.
 func (r *Relation) UnionInPlace(o *Relation) int {
+	if r.arity != o.arity && !o.Empty() {
+		panic(fmt.Sprintf("tuple: insert arity %d into relation of arity %d", o.arity, r.arity))
+	}
 	added := 0
-	for _, t := range o.data.tuples {
-		if r.Insert(t) {
+	src := o.data
+	for row, h := range src.hash {
+		if !src.isDead(row) && r.insertHashed(src.row(row), h) {
 			added++
 		}
 	}
@@ -291,100 +251,59 @@ func (r *Relation) UnionInPlace(o *Relation) int {
 }
 
 // Fingerprint returns an order-independent 64-bit hash of the tuple
-// set (XOR of per-tuple hashes), used by the Datalog¬¬ and
-// nondeterministic engines to detect revisited instance states.
+// set (XOR of the seeded per-row hashes, maintained incrementally),
+// used by the Datalog¬¬ and nondeterministic engines to detect
+// revisited instance states.
 func (r *Relation) Fingerprint() uint64 {
-	if r.fpValid {
-		return r.fp
-	}
-	var acc uint64
-	for k := range r.data.tuples {
-		acc ^= maphash.String(hashSeed, k)
-	}
+	d := r.data
 	// Mix in arity and cardinality so that, e.g., the empty relations
 	// of different arities differ only via the instance-level mix.
-	acc ^= uint64(len(r.data.tuples))*0x9e3779b97f4a7c15 + uint64(r.arity)
-	r.fp = acc
-	r.fpValid = true
-	return acc
+	return d.fp ^ (uint64(d.live())*0x9e3779b97f4a7c15 + uint64(r.arity))
 }
 
-// index returns (building if needed) the hash index for the given
+// fullMask reports whether mask binds every column, making a probe a
+// direct set lookup that needs no index.
+func (r *Relation) fullMask(mask uint32) bool {
+	return r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1
+}
+
+// index returns (building if needed) the posting lists for the given
 // column set. mask bit i set means column i participates in the key.
 // While the storage is shared, snapshots reuse the warm indexes baked
 // into it, and new masks are built into the private own overlay (the
 // frozen base is read-only); a sole owner extends the base in place.
-func (r *Relation) index(mask uint32) map[string][]Tuple {
-	if idx, ok := r.data.indexes[mask]; ok {
+func (r *Relation) index(mask uint32) postings {
+	if idx := findIndex(r.data.indexes, mask); idx != nil {
 		return idx
 	}
-	if idx, ok := r.own[mask]; ok {
+	if idx := findIndex(r.own, mask); idx != nil {
 		return idx
 	}
-	// Pre-size for the worst case (every tuple its own bucket); the
-	// mask-0 index is a single bucket holding the whole relation, the
-	// allocation-free replacement for Tuples() on full scans.
-	var idx map[string][]Tuple
-	if mask == 0 {
-		idx = map[string][]Tuple{"": r.Tuples()}
-	} else {
-		idx = make(map[string][]Tuple, len(r.data.tuples))
-		for _, t := range r.data.tuples {
-			k := maskKey(t, mask)
-			idx[k] = append(idx[k], t)
-		}
-	}
+	idx := r.data.buildIndex(mask)
 	if r.shared.Load() {
-		if r.own == nil {
-			r.own = make(map[uint32]map[string][]Tuple)
-		}
-		r.own[mask] = idx
+		r.own = append(r.own, index{mask, idx})
 	} else {
-		if r.data.indexes == nil {
-			r.data.indexes = make(map[uint32]map[string][]Tuple)
-		}
-		r.data.indexes[mask] = idx
+		r.data.indexes = append(r.data.indexes, index{mask, idx})
 	}
 	return idx
 }
 
 // Probe returns the tuples whose values at the masked columns equal
 // the corresponding entries of pattern (entries at unmasked columns
-// are ignored). With a zero mask it returns all tuples; with every
-// column masked it is a direct hash lookup (no index needed);
-// otherwise it uses a lazily built, incrementally maintained hash
-// index.
+// are ignored): the collected form of ProbeIter. With a zero mask it
+// returns all tuples; with every column masked it is a direct set
+// lookup; otherwise it reads a lazily built, incrementally maintained
+// posting-list index.
 func (r *Relation) Probe(mask uint32, pattern Tuple) []Tuple {
-	if mask == 0 {
-		return r.Tuples()
-	}
-	if r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		if stored, ok := r.data.tuples[pattern.Key()]; ok {
-			return []Tuple{stored}
-		}
-		return nil
-	}
-	return r.index(mask)[maskKey(pattern, mask)]
+	var it Iterator
+	r.ProbeIter(mask, pattern, &it)
+	return it.collect()
 }
 
 // ProbeScan is the index-free variant of Probe used by the ablation
 // benchmarks: it scans all tuples and filters.
 func (r *Relation) ProbeScan(mask uint32, pattern Tuple) []Tuple {
-	if mask == 0 {
-		return r.Tuples()
-	}
-	var out []Tuple
-	for _, t := range r.data.tuples {
-		ok := true
-		for i := 0; i < r.arity; i++ {
-			if mask&(1<<uint(i)) != 0 && t[i] != pattern[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out
+	var it Iterator
+	r.ScanIter(mask, pattern, &it)
+	return it.collect()
 }
