@@ -345,6 +345,7 @@ func BenchmarkT48_Counter(b *testing.B) {
 			p := parser.MustParse(queries.Counter(k), u)
 			in := tuple.NewInstance()
 			in.Ensure("One", 1)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.EvalNonInflationary(p, in, u, &core.Options{MaxStages: 1 << 22})
@@ -414,6 +415,7 @@ func BenchmarkP1_NaiveVsSemiNaive(b *testing.B) {
 			u := value.New()
 			in := gen.Chain(u, "G", n)
 			p := parser.MustParse(queries.TC, u)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := declarative.EvalNaive(p, in, u, nil); err != nil {
@@ -425,6 +427,7 @@ func BenchmarkP1_NaiveVsSemiNaive(b *testing.B) {
 			u := value.New()
 			in := gen.Chain(u, "G", n)
 			p := parser.MustParse(queries.TC, u)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := declarative.Eval(p, in, u, nil); err != nil {
@@ -694,6 +697,7 @@ func BenchmarkP9_PlannerAblation(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("planner/n=%d", n), func(b *testing.B) {
 			u, in, p := mk(n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := declarative.Eval(p, in, u, nil); err != nil {
@@ -704,6 +708,7 @@ func BenchmarkP9_PlannerAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("literal-order/n=%d", n), func(b *testing.B) {
 			u, in, p := mk(n)
 			opt := &declarative.Options{LiteralOrder: true}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := declarative.Eval(p, in, u, opt); err != nil {

@@ -126,6 +126,7 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 	// workers > 1 the indexes are forced each stage before fan-out so
 	// the workers only read (see stageParallel).
 	workers := opt.WorkerCount()
+	var head []value.Value // reused head buffer of the serial stage loop
 	for {
 		if err := opt.Interrupted(stages); err != nil {
 			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
@@ -135,38 +136,30 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: workers <= 1,
 		}
 		col.BeginStage()
-		var pend []eval.Fact
+		// The stage's new facts are staged into delta, which is
+		// merged into out after every rule has read the previous
+		// instance.
+		delta := tuple.NewInstance()
 		if workers > 1 {
-			pend = stageParallel(rules, ctx, workers, col)
+			for _, f := range stageParallel(rules, ctx, workers, col) {
+				delta.Insert(f.Pred, f.Tuple)
+			}
 		} else {
 			for ri, cr := range rules {
 				col.BeginRule(ri)
 				cr.Enumerate(ctx, func(b eval.Binding) bool {
-					derived, reder := 0, 0
-					for _, f := range cr.HeadFacts(b, nil) {
-						// Filter re-derivations at emission, matching
-						// stageParallel: pend holds only facts absent
-						// from the previous instance, instead of
-						// growing with the full instance each stage.
-						if ctx.In.Has(f.Pred, f.Tuple) {
-							reder++
-						} else {
-							pend = append(pend, f)
-							derived++
-						}
-					}
+					// Filter re-derivations at emission, matching
+					// stageParallel: delta holds only facts absent
+					// from the previous instance.
+					var derived, reder int
+					derived, reder, head = cr.StageNew(b, out, delta, head)
 					col.Fired(ri, derived, reder)
 					return true
 				})
 				col.EndRule(ri)
 			}
 		}
-		delta := tuple.NewInstance()
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				delta.Insert(f.Pred, f.Tuple)
-			}
-		}
+		out.UnionInPlace(delta)
 		if delta.Facts() == 0 {
 			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, nil
 		}
@@ -255,16 +248,19 @@ func stageNonInflationary(rules []*eval.Rule, cur *tuple.Instance, adom []value.
 	}
 	pos := tuple.NewInstance()
 	neg := tuple.NewInstance()
+	var head []value.Value
 	for ri, cr := range rules {
+		heads := cr.Heads()
 		col.BeginRule(ri)
 		cr.Enumerate(ctx, func(b eval.Binding) bool {
 			derived, reder := 0, 0
-			for _, f := range cr.HeadFacts(b, nil) {
+			for i := range heads {
 				staged := pos
-				if f.Neg {
+				if heads[i].Neg {
 					staged = neg
 				}
-				if staged.Insert(f.Pred, f.Tuple) {
+				head = cr.HeadTuple(i, b, head)
+				if staged.Insert(heads[i].Pred, tuple.Tuple(head)) {
 					derived++
 				} else {
 					reder++

@@ -93,30 +93,17 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
 		}
 		col.BeginStage()
-		var pend []eval.Fact
+		delta := tuple.NewInstance()
+		var head []value.Value
 		for _, cr := range rules {
 			cr.Enumerate(ctx, func(b eval.Binding) bool {
-				facts := cr.HeadFacts(b, nil)
-				if col.Enabled() {
-					derived, reder := 0, 0
-					for _, f := range facts {
-						if out.Has(f.Pred, f.Tuple) {
-							reder++
-						} else {
-							derived++
-						}
-					}
-					col.Fired(-1, derived, reder)
-				}
-				pend = append(pend, facts...)
+				var derived, reder int
+				derived, reder, head = cr.StageNew(b, out, delta, head)
+				col.Fired(-1, derived, reder)
 				return true
 			})
 		}
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				inserted++
-			}
-		}
+		inserted = out.UnionInPlace(delta)
 		col.EndStage(inserted)
 		if inserted == 0 {
 			return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, nil
@@ -138,22 +125,17 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, recursive map[string]bool, adom []value.Value, opt *Options) (int, error) {
 	scan := opt.ScanEnabled()
 	col := opt.Collector()
-	// emit counts a firing's facts as derived/re-derived against the
-	// current instance; the Enabled guard keeps the extra Has probes
-	// off the disabled path.
-	emit := func(facts []eval.Fact) {
-		if !col.Enabled() {
-			return
-		}
-		derived, reder := 0, 0
-		for _, f := range facts {
-			if out.Has(f.Pred, f.Tuple) {
-				reder++
-			} else {
-				derived++
-			}
-		}
-		col.Fired(-1, derived, reder)
+	// Firings stage the head facts out does not hold straight into
+	// the round's delta (Insert copies the reused head buffer); the
+	// delta is merged into out once the round's enumeration is done.
+	var head []value.Value
+	stage := func(cr *eval.Rule, ctx *eval.Ctx, dst *tuple.Instance) {
+		cr.Enumerate(ctx, func(b eval.Binding) bool {
+			var derived, reder int
+			derived, reder, head = cr.StageNew(b, out, dst, head)
+			col.Fired(-1, derived, reder)
+			return true
+		})
 	}
 
 	// Round 0: naive pass over every rule.
@@ -163,20 +145,10 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 		NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
 	}
 	col.BeginStage()
-	var pend []eval.Fact
 	for _, cr := range rules {
-		cr.Enumerate(ctx, func(b eval.Binding) bool {
-			facts := cr.HeadFacts(b, nil)
-			emit(facts)
-			pend = append(pend, facts...)
-			return true
-		})
+		stage(cr, ctx, delta)
 	}
-	for _, f := range pend {
-		if out.Insert(f.Pred, f.Tuple) {
-			delta.Insert(f.Pred, f.Tuple)
-		}
-	}
+	out.UnionInPlace(delta)
 	rounds := 1
 	col.EndStage(delta.Facts())
 
@@ -222,40 +194,33 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 			merged := 0
 			derived := uint64(0)
 			eval.RunSharded(variants, base, delta, shards, opt.MergeBufferCap(),
-				opt.Context().Done(), func(batch []eval.Fact) {
-					merged += len(batch)
-					for _, f := range batch {
-						if out.Insert(f.Pred, f.Tuple) {
-							next.Insert(f.Pred, f.Tuple)
-							derived++
-						}
+				opt.Context().Done(), func(staged *tuple.Instance, emitted int) {
+					merged += emitted
+					for _, name := range staged.Names() {
+						staged.Relation(name).Each(func(t tuple.Tuple) bool {
+							if out.Insert(name, t) {
+								next.Insert(name, t)
+								derived++
+							}
+							return true
+						})
 					}
 				})
-			// Shard workers only tally firings (classifying each fact
-			// against the snapshot would cost a probe per emission in
-			// the parallel hot path); the merge's Insert answered
-			// new-vs-seen anyway, so charge derived/rederived here.
+			// Shard workers only tally firings; the merge's Insert
+			// answers new-vs-seen for every staged fact, and every
+			// emitted fact that was not staged-and-new re-derived one,
+			// so charge derived/rederived here.
 			col.FiredBatch(-1, 0, derived, uint64(merged)-derived)
 			col.ShardRound(merged)
 		} else {
-			pend = pend[:0]
 			for _, v := range variants {
 				ctx := &eval.Ctx{
 					In: out, NegIn: negIn, Adom: adom, Delta: delta, DeltaLit: v.Lit, Scan: scan, Stats: col,
 					NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
 				}
-				v.Rule.Enumerate(ctx, func(b eval.Binding) bool {
-					facts := v.Rule.HeadFacts(b, nil)
-					emit(facts)
-					pend = append(pend, facts...)
-					return true
-				})
+				stage(v.Rule, ctx, next)
 			}
-			for _, f := range pend {
-				if out.Insert(f.Pred, f.Tuple) {
-					next.Insert(f.Pred, f.Tuple)
-				}
-			}
+			out.UnionInPlace(next)
 		}
 		delta = next
 		col.EndStage(delta.Facts())

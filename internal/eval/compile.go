@@ -13,6 +13,7 @@ package eval
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"unchained/internal/ast"
 	"unchained/internal/tuple"
@@ -49,7 +50,7 @@ type step struct {
 	kind stepKind
 
 	// stepMatch / stepNegCheck
-	pred     string
+	pslot    int // index of the predicate in Rule.preds
 	arity    int
 	litIndex int    // index of the literal in the rule body (for delta targeting)
 	mask     uint32 // positions bound before the step runs (consts + bound vars)
@@ -72,7 +73,7 @@ type step struct {
 // check is a fully-bound literal test used inside ∀-literals.
 type check struct {
 	kind        stepKind // stepMatch (containment), stepNegCheck, stepEqTest
-	pred        string
+	pslot       int      // index of the predicate in Rule.preds
 	slots       []slot
 	left, right slot
 	negEq       bool
@@ -99,10 +100,17 @@ type Rule struct {
 	headOnly []int // ids of head-only (invented-value) variables
 	nBody    int   // number of body literals (for delta variants)
 	posBody  []int // body indexes of positive atom literals
+	// preds are the distinct predicates the body reads, in order of
+	// first occurrence (∀ sub-literals included), so a replanned
+	// schedule shares the baseline's predicate slots; litSlot maps a
+	// body literal index to its predicate's slot (-1 for non-atoms).
+	preds   []string
+	litSlot []int
 
 	deltaLit int    // pinned-first delta literal, or -1
 	planKey  string // structural body identity for shared plan caching
 	plan     planState
+	spare    atomic.Pointer[scratch] // one reusable Enumerate scratch
 }
 
 // NumVars reports how many distinct variables the rule has.
@@ -132,12 +140,12 @@ func CompileDelta(r ast.Rule, deltaLit int) (*Rule, error) { return compile(r, d
 
 func compile(r ast.Rule, firstLit int) (*Rule, error) { return compileCost(r, firstLit, nil) }
 
-// sizeFn reports the cardinality of the relation a positive body
-// literal matches against (In ∪ Aux, or Delta for the pinned delta
-// literal). A nil sizeFn selects the seed's literal-order greedy
-// schedule; a non-nil one turns the scheduler into the cost-based
-// planner (see plan.go).
-type sizeFn func(litIndex int, pred string) int
+// sizeFn reports the cardinality of the relation the positive body
+// literal with the given index matches against (In ∪ Aux, or Delta
+// for the pinned delta literal). A nil sizeFn selects the seed's
+// literal-order greedy schedule; a non-nil one turns the scheduler
+// into the cost-based planner (see plan.go).
+type sizeFn func(litIndex int) int
 
 func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 	cr := &Rule{Src: r, varIDs: map[string]int{}, nBody: len(r.Body), deltaLit: firstLit}
@@ -166,15 +174,34 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 		lit   ast.Literal
 		index int
 	}
+	pslot := func(pred string) int {
+		for i, p := range cr.preds {
+			if p == pred {
+				return i
+			}
+		}
+		cr.preds = append(cr.preds, pred)
+		return len(cr.preds) - 1
+	}
 	var todo []pending
+	cr.litSlot = make([]int, len(r.Body))
 	for i, l := range r.Body {
 		todo = append(todo, pending{l, i})
 		for _, v := range bodyLitVars(l) {
 			id(v)
 		}
-		if l.Kind == ast.LitForall {
+		cr.litSlot[i] = -1
+		switch l.Kind {
+		case ast.LitAtom:
+			cr.litSlot[i] = pslot(l.Atom.Pred)
+		case ast.LitForall:
 			for _, v := range l.ForallVars {
 				id(v)
+			}
+			for _, b := range l.ForallBody {
+				if b.Kind == ast.LitAtom {
+					pslot(b.Atom.Pred)
+				}
 			}
 		}
 	}
@@ -202,7 +229,7 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 		if len(a.Args) > 32 && arityErr == nil {
 			arityErr = fmt.Errorf("eval: relation %s has arity %d > 32", a.Pred, len(a.Args))
 		}
-		st := step{kind: kind, pred: a.Pred, arity: len(a.Args), litIndex: litIndex}
+		st := step{kind: kind, pslot: cr.litSlot[litIndex], arity: len(a.Args), litIndex: litIndex}
 		seenNew := map[int]int{} // varID -> first new position
 		for pos, t := range a.Args {
 			s := mkSlot(t)
@@ -242,7 +269,7 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 		for _, b := range l.ForallBody {
 			switch b.Kind {
 			case ast.LitAtom:
-				c := check{kind: stepMatch, pred: b.Atom.Pred}
+				c := check{kind: stepMatch, pslot: pslot(b.Atom.Pred)}
 				if b.Neg {
 					c.kind = stepNegCheck
 				}
@@ -386,7 +413,7 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 				}
 				continue
 			}
-			est := estCard(size(p.index, p.lit.Atom.Pred), bc)
+			est := estCard(size(p.index), bc)
 			if bestIdx < 0 || est < bestEst || (est == bestEst && bc > bestBound) {
 				bestIdx, bestEst, bestBound = i, est, bc
 			}

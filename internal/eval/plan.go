@@ -24,6 +24,7 @@ package eval
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,28 +42,31 @@ const planMemoCap = 8
 
 // planState is the per-rule plan memo.
 type planState struct {
-	mu      sync.Mutex
-	memo    map[uint64][]step // cardinality signature -> schedule
-	emitted string            // dedup key of the last plan span emitted
+	mu   sync.Mutex
+	memo map[uint64][]step // cardinality signature -> schedule
+	// emitted is the dedup key of the last plan span emitted: the
+	// (literal index, cumulative estimate) pair of every join step.
+	emitted []int
 }
 
 // planFor returns the step schedule to enumerate with under ctx, and
 // whether it is a planner choice (as opposed to the baseline
-// schedule). Safe for concurrent use by parallel stage workers; the
-// engine goroutine pre-fills the memo via WarmIndexes.
-func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
+// schedule). sc carries the call's resolved relations. Safe for
+// concurrent use by parallel stage workers; the engine goroutine
+// pre-fills the memo via WarmIndexes.
+func (r *Rule) planFor(ctx *Ctx, sc *scratch) ([]step, bool) {
 	// Fewer than two joins leave nothing to reorder; past 16 the
 	// signature packing would overflow (and such bodies are rare
 	// enough that the baseline schedule is fine).
 	if ctx.NoPlan || len(r.posBody) < 2 || len(r.posBody) > 16 {
 		return r.steps, false
 	}
-	sig := r.planSig(ctx)
+	sig := r.planSig(ctx, sc)
 	if ctx.Plans != nil {
 		if st, ok := ctx.Plans.lookup(r.planKey, sig); ok {
 			return st, true
 		}
-		st := r.replan(ctx)
+		st := r.replan(ctx, sc)
 		ctx.Plans.store(r.planKey, sig, st)
 		return st, true
 	}
@@ -71,7 +75,7 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	if st, ok := r.plan.memo[sig]; ok {
 		return st, true
 	}
-	st := r.replan(ctx)
+	st := r.replan(ctx, sc)
 	if r.plan.memo == nil {
 		r.plan.memo = make(map[uint64][]step, planMemoCap)
 	}
@@ -89,10 +93,8 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 // On any surprise (a scheduling error, a variable-layout mismatch) it
 // falls back to the baseline schedule: plans are an optimization and
 // must never change what a rule computes.
-func (r *Rule) replan(ctx *Ctx) []step {
-	alt, err := compileCost(r.Src, r.deltaLit, func(litIndex int, pred string) int {
-		return ctxSize(ctx, litIndex, pred)
-	})
+func (r *Rule) replan(ctx *Ctx, sc *scratch) []step {
+	alt, err := compileCost(r.Src, r.deltaLit, func(li int) int { return sc.litSize(r, ctx, li) })
 	if err != nil || len(alt.Vars) != len(r.Vars) {
 		return r.steps
 	}
@@ -102,28 +104,6 @@ func (r *Rule) replan(ctx *Ctx) []step {
 		}
 	}
 	return alt.steps
-}
-
-// ctxSize is the cardinality a positive body literal joins against:
-// the delta relation for the pinned delta literal, otherwise In plus
-// any Aux overlay.
-func ctxSize(ctx *Ctx, litIndex int, pred string) int {
-	if ctx.Delta != nil && litIndex == ctx.DeltaLit {
-		if rel := relOf(ctx.Delta, pred); rel != nil {
-			return rel.Len()
-		}
-		return 0
-	}
-	n := 0
-	if rel := relOf(ctx.In, pred); rel != nil {
-		n = rel.Len()
-	}
-	if ctx.Aux != nil {
-		if rel := relOf(ctx.Aux, pred); rel != nil {
-			n += rel.Len()
-		}
-	}
-	return n
 }
 
 // estCard estimates a probe's output cardinality: size discounted by
@@ -162,11 +142,12 @@ func decade(n int) uint64 {
 
 // planSig packs the size decade of every joined relation, in body
 // order, 4 bits each. Equal signatures mean every cardinality is in
-// the same decade as when the memoized plan was chosen.
-func (r *Rule) planSig(ctx *Ctx) uint64 {
+// the same decade as when the memoized plan was chosen. Sizes come
+// from the call's resolved relations, so no name is looked up here.
+func (r *Rule) planSig(ctx *Ctx, sc *scratch) uint64 {
 	var sig uint64
 	for _, li := range r.posBody {
-		sig = sig<<4 | decade(ctxSize(ctx, li, r.Src.Body[li].Atom.Pred))
+		sig = sig<<4 | decade(sc.litSize(r, ctx, li))
 	}
 	return sig
 }
@@ -324,35 +305,54 @@ func (r *Rule) label() string {
 	return "⊥"
 }
 
-// planDesc renders the chosen join order with estimated and (when
-// counts is non-nil) actual cumulative cardinalities. key is the
-// actuals-free prefix used to dedup emission across stages.
-func (r *Rule) planDesc(ctx *Ctx, steps []step, counts []int64) (key, desc string) {
-	var kb, db strings.Builder
+// tracePlan emits the call's chosen join order as a plan span, once
+// per change: the span is keyed on the schedule and its estimates —
+// the (literal index, cumulative estimate) pair of every join step —
+// and rendered only when that key differs from the last one emitted,
+// so stages that keep a plan cost one integer comparison.
+func (r *Rule) tracePlan(c *call) {
+	sc := c.sc
+	key := sc.spanKey[:0]
 	cum := 1
-	first := true
+	for i := range c.steps {
+		st := &c.steps[i]
+		if st.kind != stepMatch {
+			continue
+		}
+		est := estCard(sc.litSize(r, c.ctx, st.litIndex), bits.OnesCount32(st.mask))
+		if cum < 1<<40 { // keep the running product from overflowing
+			cum *= est
+		}
+		key = append(key, st.litIndex, cum)
+	}
+	sc.spanKey = key
+	r.plan.mu.Lock()
+	seen := slices.Equal(r.plan.emitted, key)
+	if !seen {
+		r.plan.emitted = append(r.plan.emitted[:0], key...)
+	}
+	r.plan.mu.Unlock()
+	if !seen {
+		c.ctx.Stats.PlanSpan(r.label(), r.planDesc(c.steps, key, c.tr.counts))
+	}
+}
+
+// planDesc renders a join order from its tracePlan key, with the
+// actual number of tuples each join step pulled.
+func (r *Rule) planDesc(steps []step, key []int, counts []int64) string {
+	var db strings.Builder
 	for i := range steps {
 		st := &steps[i]
 		if st.kind != stepMatch {
 			continue
 		}
-		if !first {
-			kb.WriteString(" ⋈ ")
+		if db.Len() > 0 {
 			db.WriteString(" ⋈ ")
 		}
-		first = false
-		est := estCard(ctxSize(ctx, st.litIndex, st.pred), bits.OnesCount32(st.mask))
-		if cum < 1<<40 { // keep the running product from overflowing
-			cum *= est
-		}
-		part := fmt.Sprintf("%s#%d est=%d", st.pred, st.litIndex, cum)
-		kb.WriteString(part)
-		db.WriteString(part)
-		if counts != nil {
-			fmt.Fprintf(&db, " act=%d", counts[i])
-		}
+		fmt.Fprintf(&db, "%s#%d est=%d act=%d", r.preds[st.pslot], key[0], key[1], counts[i])
+		key = key[2:]
 	}
-	return kb.String(), db.String()
+	return db.String()
 }
 
 // AdomCache memoizes the sorted, deduplicated active domain

@@ -222,13 +222,23 @@ func TestPlanMemoAlternatingSignatures(t *testing.T) {
 		large.Insert("A", tuple.Tuple{u.Int(int64(i))})
 	}
 	ctxs := []*Ctx{{In: small, DeltaLit: -1}, {In: large, DeltaLit: -1}}
-	if cr.planSig(ctxs[0]) == cr.planSig(ctxs[1]) {
+	planSig := func(ctx *Ctx) uint64 {
+		sc := cr.take(ctx)
+		defer cr.put(sc)
+		return cr.planSig(ctx, sc)
+	}
+	planFor := func(ctx *Ctx) ([]step, bool) {
+		sc := cr.take(ctx)
+		defer cr.put(sc)
+		return cr.planFor(ctx, sc)
+	}
+	if planSig(ctxs[0]) == planSig(ctxs[1]) {
 		t.Fatal("test instances share a cardinality signature")
 	}
 	first := make([]*step, len(ctxs))
 	for round := 0; round < 6; round++ {
 		i := round % 2
-		st, planned := cr.planFor(ctxs[i])
+		st, planned := planFor(ctxs[i])
 		if !planned || len(st) == 0 {
 			t.Fatalf("round %d: no planner schedule", round)
 		}

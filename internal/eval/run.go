@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"sort"
+	"slices"
 
 	"unchained/internal/ast"
 	"unchained/internal/stats"
@@ -65,38 +65,54 @@ type Binding []value.Value
 // calls; emit must copy it if it needs to retain it. emit returning
 // false stops the enumeration early. Head-only (invented) variables
 // are left as value.None in the binding.
+//
+// The relations of every body predicate are resolved by name once,
+// when the call starts: a relation that emit creates in ctx.In during
+// the call is not visible to it (facts emit adds to an existing
+// relation may or may not be, as with any cursor). The call reuses
+// the rule's scratch (see scratch.go), so it allocates nothing once
+// the scratch fits the rule.
 func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
-	steps, planned := r.planFor(ctx)
-	var tr *planTrace
+	sc := r.take(ctx)
+	steps, planned := r.planFor(ctx, sc)
+	c := call{ctx: ctx, sc: sc, steps: steps, emit: emit}
 	if ctx.Stats.Enabled() {
-		tr = &planTrace{}
+		sc.trace = planTrace{}
 		if planned && ctx.PlanTrace && ctx.Stats.Tracing() {
-			tr.counts = make([]int64, len(steps))
+			sc.counts = slices.Grow(sc.counts[:0], len(steps))[:len(steps)]
+			clear(sc.counts)
+			sc.trace.counts = sc.counts
+		}
+		c.tr = &sc.trace
+	}
+	sc.fit(steps)
+	c.run(0)
+	if tr := c.tr; tr != nil {
+		ctx.Stats.ProbeBatch(tr.probes, tr.scans)
+		if tr.counts != nil {
+			r.tracePlan(&c)
 		}
 	}
-	b := make(Binding, len(r.Vars))
-	r.run(ctx, steps, 0, b, emit, tr)
-	if tr == nil {
-		return
-	}
-	ctx.Stats.ProbeBatch(tr.probes, tr.scans)
-	if tr.counts != nil {
-		key, desc := r.planDesc(ctx, steps, tr.counts)
-		r.plan.mu.Lock()
-		seen := r.plan.emitted == key
-		r.plan.emitted = key
-		r.plan.mu.Unlock()
-		if !seen {
-			ctx.Stats.PlanSpan(r.label(), desc)
-		}
-	}
+	r.put(sc)
 }
 
-// drainMatch pulls the iterator dry, binding and recursing per candidate.
+// call is one Enumerate call: its context, scratch, schedule and
+// callback. It lives on Enumerate's stack, so the emit closure and
+// the context do not escape through the reused scratch.
+type call struct {
+	ctx   *Ctx
+	sc    *scratch
+	steps []step
+	emit  func(Binding) bool
+	tr    *planTrace // nil when stats are off
+}
+
+// drain pulls the iterator dry, binding and recursing per candidate.
 // skip, if non-nil, suppresses candidates it contains — the Aux
 // overlay pass uses the In relation here so tuples present in both
 // sources are visited exactly once. Returns false on early exit.
-func (r *Rule) drainMatch(ctx *Ctx, steps []step, st *step, it *tuple.Iterator, si int, b Binding, emit func(Binding) bool, skip *tuple.Relation, tr *planTrace) bool {
+func (c *call) drain(st *step, it *tuple.Iterator, si int, skip *tuple.Relation) bool {
+	b, tr := c.sc.b, c.tr
 	for {
 		t, more := it.Next()
 		if !more {
@@ -118,70 +134,76 @@ func (r *Rule) drainMatch(ctx *Ctx, steps []step, st *step, it *tuple.Iterator, 
 				break
 			}
 		}
-		if ok && !r.run(ctx, steps, si+1, b, emit, tr) {
+		if ok && !c.run(si+1) {
 			return false
 		}
 	}
 }
 
-func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding) bool, tr *planTrace) bool {
-	if si == len(steps) {
-		return emit(b)
+// fill writes the values of slots under b into buf, which is at least
+// len(slots) long, and returns buf[:len(slots)].
+func fill(buf []value.Value, slots []slot, b Binding) []value.Value {
+	buf = buf[:len(slots)]
+	for pos, s := range slots {
+		buf[pos] = slotVal(s, b)
 	}
-	st := &steps[si]
+	return buf
+}
+
+func (c *call) run(si int) bool {
+	if si == len(c.steps) {
+		return c.emit(c.sc.b)
+	}
+	ctx, sc, b := c.ctx, c.sc, c.sc.b
+	st := &c.steps[si]
 	switch st.kind {
 	case stepMatch:
-		src := ctx.In
+		src, rel := ctx.In, sc.rels[st.pslot].in
 		if ctx.Delta != nil && st.litIndex == ctx.DeltaLit {
-			src = ctx.Delta
+			src, rel = ctx.Delta, sc.delta
 		}
-		rel := relOf(src, st.pred)
 		if rel != nil && rel.Arity() != st.arity {
 			rel = nil
 		}
 		var aux *tuple.Relation
 		if ctx.Aux != nil && src != ctx.Delta {
-			if a := relOf(ctx.Aux, st.pred); a != nil && a.Arity() == st.arity {
+			if a := sc.rels[st.pslot].aux; a != nil && a.Arity() == st.arity {
 				aux = a
 			}
 		}
 		if rel == nil && aux == nil {
 			return true // empty relation: no matches, keep going elsewhere
 		}
-		// Build the probe pattern for the bound positions.
-		var pattern tuple.Tuple
+		// The probe pattern for the bound positions lives in the
+		// step's own buffer: the iterator keeps it while drained.
+		var pattern []value.Value
 		if st.mask != 0 {
-			pattern = make(tuple.Tuple, st.arity)
+			pattern = sc.pats[si][:st.arity]
 			for pos, s := range st.slots {
-				if st.mask&(1<<uint(pos)) == 0 {
-					continue
-				}
-				if s.isVar {
-					pattern[pos] = b[s.varID]
-				} else {
-					pattern[pos] = s.val
+				if st.mask&(1<<uint(pos)) != 0 {
+					pattern[pos] = slotVal(s, b)
 				}
 			}
 		}
 		var it tuple.Iterator
 		done := true
 		if rel != nil {
-			tr.probe(ctx.Scan)
+			c.tr.probe(ctx.Scan)
 			if ctx.Scan {
-				rel.ScanIter(st.mask, pattern, &it)
+				rel.ScanIter(st.mask, tuple.Tuple(pattern), &it)
 			} else {
-				rel.ProbeIter(st.mask, pattern, &it)
+				rel.ProbeIter(st.mask, tuple.Tuple(pattern), &it)
 			}
-			done = r.drainMatch(ctx, steps, st, &it, si, b, emit, nil, tr)
+			done = c.drain(st, &it, si, nil)
 		}
 		if done && aux != nil {
-			tr.probe(ctx.Scan)
+			c.tr.probe(ctx.Scan)
 			if ctx.Scan {
-				aux.ScanIter(st.mask, pattern, &it)
+				aux.ScanIter(st.mask, tuple.Tuple(pattern), &it)
 			} else {
-				aux.ProbeIter(st.mask, pattern, &it)
+				aux.ProbeIter(st.mask, tuple.Tuple(pattern), &it)
 			}
-			done = r.drainMatch(ctx, steps, st, &it, si, b, emit, rel, tr)
+			done = c.drain(st, &it, si, rel)
 		}
 		for _, ab := range st.binds {
 			b[ab.varID] = value.None
@@ -189,34 +211,16 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		return done
 
 	case stepNegCheck:
-		t := make(tuple.Tuple, st.arity)
-		for pos, s := range st.slots {
-			if s.isVar {
-				t[pos] = b[s.varID]
-			} else {
-				t[pos] = s.val
-			}
-		}
-		negSrc := ctx.In
-		if ctx.NegIn != nil {
-			negSrc = ctx.NegIn
-		}
-		rel := relOf(negSrc, st.pred)
-		if rel != nil && rel.Contains(t) {
+		rel := sc.rels[st.pslot].neg
+		if rel != nil && rel.Contains(tuple.Tuple(fill(sc.pats[si], st.slots, b))) {
 			return true // literal false under this valuation
 		}
-		return r.run(ctx, steps, si+1, b, emit, tr)
+		return c.run(si + 1)
 
 	case stepEqAssign:
 		// left is the unbound variable side by construction.
-		var v value.Value
-		if st.right.isVar {
-			v = b[st.right.varID]
-		} else {
-			v = st.right.val
-		}
-		b[st.left.varID] = v
-		ok := r.run(ctx, steps, si+1, b, emit, tr)
+		b[st.left.varID] = slotVal(st.right, b)
+		ok := c.run(si + 1)
 		b[st.left.varID] = value.None
 		return ok
 
@@ -225,12 +229,12 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		if (l == rr) == st.negEq {
 			return true
 		}
-		return r.run(ctx, steps, si+1, b, emit, tr)
+		return c.run(si + 1)
 
 	case stepEnum:
 		for _, v := range ctx.Adom {
 			b[st.enumVar] = v
-			if !r.run(ctx, steps, si+1, b, emit, tr) {
+			if !c.run(si + 1) {
 				b[st.enumVar] = value.None
 				return false
 			}
@@ -239,8 +243,8 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		return true
 
 	case stepForall:
-		if r.forallHolds(ctx, st, 0, b) {
-			return r.run(ctx, steps, si+1, b, emit, tr)
+		if c.forallHolds(st, 0, sc.pats[si]) {
+			return c.run(si + 1)
 		}
 		return true
 	}
@@ -249,28 +253,25 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 
 // forallHolds checks a ∀-literal: every extension of the current
 // binding over the quantified variables (valuated in the active
-// domain) must satisfy all inner checks.
-func (r *Rule) forallHolds(ctx *Ctx, st *step, qi int, b Binding) bool {
+// domain) must satisfy all inner checks. buf is the step's check
+// buffer.
+func (c *call) forallHolds(st *step, qi int, buf []value.Value) bool {
+	sc, b := c.sc, c.sc.b
 	if qi == len(st.forallVars) {
-		for _, c := range st.forallPlan {
-			switch c.kind {
+		for _, chk := range st.forallPlan {
+			switch chk.kind {
 			case stepMatch, stepNegCheck:
-				t := make(tuple.Tuple, len(c.slots))
-				for pos, s := range c.slots {
-					t[pos] = slotVal(s, b)
+				rel := sc.rels[chk.pslot].in
+				if chk.kind == stepNegCheck {
+					rel = sc.rels[chk.pslot].neg
 				}
-				src := ctx.In
-				if c.kind == stepNegCheck && ctx.NegIn != nil {
-					src = ctx.NegIn
-				}
-				rel := relOf(src, c.pred)
-				has := rel != nil && rel.Contains(t)
-				if has == (c.kind == stepNegCheck) {
+				has := rel != nil && rel.Contains(tuple.Tuple(fill(buf, chk.slots, b)))
+				if has == (chk.kind == stepNegCheck) {
 					return false
 				}
 			case stepEqTest:
-				l, rr := slotVal(c.left, b), slotVal(c.right, b)
-				if (l == rr) == c.negEq {
+				l, rr := slotVal(chk.left, b), slotVal(chk.right, b)
+				if (l == rr) == chk.negEq {
 					return false
 				}
 			}
@@ -279,9 +280,9 @@ func (r *Rule) forallHolds(ctx *Ctx, st *step, qi int, b Binding) bool {
 	}
 	id := st.forallVars[qi]
 	saved := b[id]
-	for _, v := range ctx.Adom {
+	for _, v := range c.ctx.Adom {
 		b[id] = v
-		if !r.forallHolds(ctx, st, qi+1, b) {
+		if !c.forallHolds(st, qi+1, buf) {
 			b[id] = saved
 			return false
 		}
@@ -305,15 +306,29 @@ type Fact struct {
 	Tuple  tuple.Tuple
 }
 
+// HeadTuple writes the tuple of head literal i (an index into Heads)
+// under binding b into buf, growing it when it is too short, and
+// returns it. The result is valid until the caller's next HeadTuple
+// call with the same buffer; Relation.Insert copies it, so a firing
+// loop stages heads into an instance without allocating. Head-only
+// variables read as value.None unless b carries invented values.
+func (r *Rule) HeadTuple(i int, b Binding, buf []value.Value) []value.Value {
+	slots := r.heads[i].Slots
+	if buf == nil || cap(buf) < len(slots) {
+		buf = make([]value.Value, len(slots))
+	}
+	return fill(buf, slots, b)
+}
+
 // HeadFacts materializes the head literals of the rule under binding
-// b. invent supplies values for head-only variables; it is called
-// once per head-only variable per call (so all head literals of one
-// firing share the invented values). invent may be nil when the rule
-// has no head-only variables.
+// b as fresh facts, for callers that keep them. invent supplies
+// values for head-only variables; it is called once per head-only
+// variable per call (so all head literals of one firing share the
+// invented values). invent may be nil when the rule has no head-only
+// variables.
 func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
-	var local Binding
 	if len(r.headOnly) > 0 {
-		local = make(Binding, len(b))
+		local := make(Binding, len(b))
 		copy(local, b)
 		for _, id := range r.headOnly {
 			local[id] = invent(id)
@@ -321,18 +336,34 @@ func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
 		b = local
 	}
 	out := make([]Fact, 0, len(r.heads))
-	for _, h := range r.heads {
+	for i, h := range r.heads {
 		if h.Bottom {
 			out = append(out, Fact{Bottom: true})
 			continue
 		}
-		t := make(tuple.Tuple, len(h.Slots))
-		for pos, s := range h.Slots {
-			t[pos] = slotVal(s, b)
-		}
-		out = append(out, Fact{Neg: h.Neg, Pred: h.Pred, Tuple: t})
+		out = append(out, Fact{Neg: h.Neg, Pred: h.Pred, Tuple: tuple.Tuple(r.HeadTuple(i, b, nil))})
 	}
 	return out
+}
+
+// StageNew stages the head facts of the firing b that in does not
+// hold into dst, and counts them: derived facts are absent from in,
+// re-derived ones present (a fact staged twice counts as derived
+// twice, as it would against in). buf is the caller's head buffer,
+// reused across firings; StageNew returns it, grown if a head needed
+// more room.
+func (r *Rule) StageNew(b Binding, in, dst *tuple.Instance, buf []value.Value) (derived, rederived int, _ []value.Value) {
+	for i := range r.heads {
+		buf = r.HeadTuple(i, b, buf)
+		pred := r.heads[i].Pred
+		if in.Has(pred, tuple.Tuple(buf)) {
+			rederived++
+			continue
+		}
+		dst.Insert(pred, tuple.Tuple(buf))
+		derived++
+	}
+	return derived, rederived, buf
 }
 
 // WarmIndexes pre-builds every index the rules' match steps will
@@ -349,40 +380,34 @@ func WarmIndexes(rules []*Rule, ctx *Ctx) {
 	if ctx.Scan {
 		return
 	}
-	warm := func(in *tuple.Instance, pred string, mask uint32, arity int) {
-		if in == nil {
-			return
+	warm := func(rel *tuple.Relation, st *step) {
+		if rel != nil && rel.Arity() == st.arity {
+			rel.BuildIndex(st.mask)
 		}
-		rel := in.Relation(pred)
-		if rel == nil || rel.Arity() != arity {
-			return
-		}
-		rel.BuildIndex(mask)
 	}
 	for _, r := range rules {
-		steps, _ := r.planFor(ctx)
+		sc := r.take(ctx)
+		steps, _ := r.planFor(ctx, sc)
 		for i := range steps {
 			st := &steps[i]
+			pr := &sc.rels[st.pslot]
 			switch st.kind {
 			case stepMatch:
 				if ctx.Delta != nil && st.litIndex == ctx.DeltaLit {
-					warm(ctx.Delta, st.pred, st.mask, st.arity)
+					warm(sc.delta, st)
 					continue
 				}
-				warm(ctx.In, st.pred, st.mask, st.arity)
-				warm(ctx.Aux, st.pred, st.mask, st.arity)
+				warm(pr.in, st)
+				warm(pr.aux, st)
 			case stepNegCheck:
 				// Negative literals are fully bound (Contains, no
 				// index today), but warm their source anyway so a
 				// future partial-mask check cannot reintroduce a
 				// lazy build under workers.
-				src := ctx.In
-				if ctx.NegIn != nil {
-					src = ctx.NegIn
-				}
-				warm(src, st.pred, st.mask, st.arity)
+				warm(pr.neg, st)
 			}
 		}
+		r.put(sc)
 	}
 }
 
@@ -438,20 +463,29 @@ func (r *Rule) BodySupports(b Binding) []Fact {
 
 // ActiveDomain computes adom(P, I): the program's constants plus
 // every value occurring in the instance, sorted by u.Compare and
-// deduplicated.
+// deduplicated. Occurrences are deduplicated by handle first (see
+// distinct), so the comparator only orders distinct values.
 func ActiveDomain(u *value.Universe, progConsts []value.Value, in *tuple.Instance) []value.Value {
 	var all []value.Value
 	all = append(all, progConsts...)
 	if in != nil {
 		all = in.ActiveDomain(all)
 	}
-	sort.Slice(all, func(i, j int) bool { return u.Compare(all[i], all[j]) < 0 })
-	out := all[:0]
-	var prev value.Value
-	for i, v := range all {
-		if i == 0 || v != prev {
+	all = distinct(all, u.Len())
+	slices.SortFunc(all, u.Compare)
+	return all
+}
+
+// distinct drops repeated handles from vs in place, in no particular
+// order, marking each handle of the universe's n values in a bitmap.
+func distinct(vs []value.Value, n int) []value.Value {
+	seen := make([]uint64, n/64+1)
+	out := vs[:0]
+	for _, v := range vs {
+		w, bit := v>>6, uint64(1)<<(v&63)
+		if seen[w]&bit == 0 {
+			seen[w] |= bit
 			out = append(out, v)
-			prev = v
 		}
 	}
 	return out

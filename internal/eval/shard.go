@@ -3,12 +3,13 @@
 // worker evaluates every delta-variant rule against a copy-on-write
 // snapshot of the current instance and its private slice of the
 // delta, so lazy index builds land in the snapshot's private overlay
-// instead of racing on shared storage. Workers stream fact batches
-// through a bounded channel to the caller's goroutine, where the
-// merge barrier dedupes them into the instance and the next delta —
-// insertion overlaps enumeration, and because relations are sets the
-// merged result is independent of arrival order: byte-identical to
-// the serial round.
+// instead of racing on shared storage. Each worker stages the head
+// facts its snapshot does not hold into a private instance and ships
+// it through a bounded channel to the caller's goroutine once it
+// holds shardBatch facts, where the merge barrier dedupes it into the
+// instance and the next delta — insertion overlaps enumeration, and
+// because relations are sets the merged result is independent of
+// arrival order: byte-identical to the serial round.
 package eval
 
 import (
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"unchained/internal/tuple"
+	"unchained/internal/value"
 )
 
 // DeltaVariant pairs a delta-compiled rule (CompileDelta) with the
@@ -25,8 +27,8 @@ type DeltaVariant struct {
 	Lit  int
 }
 
-// shardBatch is the number of facts a worker accumulates before
-// shipping a batch to the merge barrier.
+// shardBatch is the number of facts a worker stages before shipping
+// its staging instance to the merge barrier.
 const shardBatch = 4096
 
 // cancelPollMask throttles the workers' cancellation poll to one
@@ -35,15 +37,18 @@ const cancelPollMask = 255
 
 // RunSharded evaluates every delta variant over a tuple-hash
 // partition of delta across `shards` workers and calls sink — on the
-// calling goroutine — with batches of emitted head facts. base
-// supplies the shared read-only environment (In, NegIn, Adom, Scan,
-// Stats, NoPlan, Plans); every worker receives private snapshots of
-// In and NegIn. mergeBuf is the batch-channel capacity (minimum 1).
-// done, when non-nil, aborts the round early: workers notice within
-// cancelPollMask firings, ship what they have, and exit — RunSharded
-// always drains every batch and joins every worker before returning,
-// so no goroutine outlives the call. Workers classify emitted facts
-// as derived vs re-derived against their pre-round snapshots, so the
+// calling goroutine — with staged instances of new head facts (facts
+// absent from the instance when the round began) and the number of
+// head facts emitted while staging each (duplicates and
+// re-derivations included). base supplies the shared read-only
+// environment (In, NegIn, Adom, Scan, Stats, NoPlan, Plans); every
+// worker receives private snapshots of In and NegIn. mergeBuf is the
+// batch-channel capacity (minimum 1). done, when non-nil, aborts the
+// round early: workers notice within cancelPollMask firings, ship
+// what they have, and exit — RunSharded always drains every batch and
+// joins every worker before returning, so no goroutine outlives the
+// call. The caller classifies emitted facts at the merge (derived =
+// facts the merge finds new, re-derived = emitted − derived), so the
 // stats collector (base.Stats, concurrency-safe counters) sees the
 // same totals as a serial round; each worker also attributes its
 // round wall time and emitted-fact count to its shard index via
@@ -52,7 +57,7 @@ const cancelPollMask = 255
 //
 // The caller must not mutate delta during the call; mutating the
 // instance behind base.In is safe (workers read their own forks).
-func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}, sink func([]Fact)) {
+func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}, sink func(staged *tuple.Instance, emitted int)) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -73,7 +78,11 @@ func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shard
 		}
 	}
 
-	ch := make(chan []Fact, mergeBuf)
+	type batch struct {
+		staged  *tuple.Instance
+		emitted int
+	}
+	ch := make(chan batch, mergeBuf)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
@@ -85,7 +94,9 @@ func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shard
 				NoPlan: base.NoPlan, Plans: base.Plans,
 			}
 			col := base.Stats
-			buf := make([]Fact, 0, shardBatch)
+			staged := tuple.NewInstance()
+			var head []value.Value
+			nStaged, nEmitted := 0, 0
 			fired := 0
 			aborted := false
 			emitted := uint64(0)
@@ -102,19 +113,22 @@ func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shard
 				// Firings tally locally, flushed in one FiredBatch
 				// below: per-binding atomic adds on the shared
 				// collector contend badly across shard workers. The
-				// derived/rederived split is not classified here at
-				// all — the merge barrier's Insert already probes
-				// every fact, so the caller's sink charges those
-				// counters for free (see EvalSeminaive).
+				// derived/rederived split is not charged here at all
+				// — the merge barrier's Insert already probes every
+				// staged fact, so the caller's sink charges those
+				// counters for free (see semiNaive).
 				var firings uint64
 				rule.Enumerate(ctx, func(b Binding) bool {
-					facts := rule.HeadFacts(b, nil)
+					var derived, reder int
+					derived, reder, head = rule.StageNew(b, ctx.In, staged, head)
 					firings++
-					buf = append(buf, facts...)
-					emitted += uint64(len(facts))
-					if len(buf) >= shardBatch {
-						ch <- buf
-						buf = make([]Fact, 0, shardBatch)
+					nStaged += derived
+					nEmitted += derived + reder
+					emitted += uint64(derived + reder)
+					if nStaged >= shardBatch {
+						ch <- batch{staged, nEmitted}
+						staged = tuple.NewInstance()
+						nStaged, nEmitted = 0, 0
 					}
 					fired++
 					if done != nil && fired&cancelPollMask == 0 {
@@ -129,8 +143,8 @@ func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shard
 				})
 				col.FiredBatch(-1, firings, 0, 0)
 			}
-			if len(buf) > 0 {
-				ch <- buf
+			if nEmitted > 0 {
+				ch <- batch{staged, nEmitted}
 			}
 			if col.Enabled() {
 				col.ShardWork(s, time.Since(begin).Nanoseconds(), emitted)
@@ -141,7 +155,7 @@ func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shard
 		wg.Wait()
 		close(ch)
 	}()
-	for batch := range ch {
-		sink(batch)
+	for bt := range ch {
+		sink(bt.staged, bt.emitted)
 	}
 }

@@ -39,27 +39,34 @@ func shardFixture(t *testing.T, n int) (*value.Universe, []DeltaVariant, *Ctx, *
 	return u, []DeltaVariant{{Rule: dv, Lit: 1}}, base, delta
 }
 
-// collectSharded runs RunSharded and returns the emitted facts
-// rendered and sorted for comparison.
-func collectSharded(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}) []string {
+// collectSharded runs RunSharded and returns the staged facts
+// rendered and sorted for comparison (a fact staged by several
+// workers appears once per worker), and the number of head facts the
+// workers emitted.
+func collectSharded(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}) ([]string, int) {
 	var got []string
-	RunSharded(variants, base, delta, shards, mergeBuf, done, func(batch []Fact) {
-		for _, f := range batch {
-			got = append(got, f.Pred+f.Tuple.String(u))
+	total := 0
+	RunSharded(variants, base, delta, shards, mergeBuf, done, func(staged *tuple.Instance, emitted int) {
+		total += emitted
+		for _, name := range staged.Names() {
+			staged.Relation(name).Each(func(t tuple.Tuple) bool {
+				got = append(got, name+t.String(u))
+				return true
+			})
 		}
 	})
 	sort.Strings(got)
-	return got
+	return got, total
 }
 
 // TestRunShardedMatchesSerial is the merge-barrier unit test: at 1, 2,
-// and 8 shards the emitted fact multiset (after dedupe — relations are
+// and 8 shards the staged fact set (after dedupe — relations are
 // sets) must equal the serial enumeration of the same round.
 func TestRunShardedMatchesSerial(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 64)
 
 	// Serial reference: enumerate the variant over the whole delta.
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
+	ref, _ := collectSharded(u, variants, base, delta, 1, 1, nil)
 	if len(ref) == 0 {
 		t.Fatal("fixture produced no facts; test is vacuous")
 	}
@@ -75,7 +82,8 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 	refSet := dedupe(ref)
 	for _, shards := range []int{2, 8} {
 		for _, buf := range []int{1, 2 * shards} {
-			got := dedupe(collectSharded(u, variants, base, delta, shards, buf, nil))
+			staged, _ := collectSharded(u, variants, base, delta, shards, buf, nil)
+			got := dedupe(staged)
 			if len(got) != len(refSet) {
 				t.Fatalf("shards=%d buf=%d emitted %d distinct facts, serial %d", shards, buf, len(got), len(refSet))
 			}
@@ -93,11 +101,11 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 // because every delta tuple lives on exactly one shard.
 func TestRunShardedDisjointWork(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 64)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
+	_, ref := collectSharded(u, variants, base, delta, 1, 1, nil)
 	for _, shards := range []int{2, 8} {
-		got := collectSharded(u, variants, base, delta, shards, 4, nil)
-		if len(got) != len(ref) {
-			t.Fatalf("shards=%d emitted %d facts raw, serial %d — shards overlap or drop work", shards, len(got), len(ref))
+		_, got := collectSharded(u, variants, base, delta, shards, 4, nil)
+		if got != ref {
+			t.Fatalf("shards=%d emitted %d facts raw, serial %d — shards overlap or drop work", shards, got, ref)
 		}
 	}
 }
@@ -110,10 +118,10 @@ func TestRunShardedCancelled(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 512)
 	done := make(chan struct{})
 	close(done)
-	got := collectSharded(u, variants, base, delta, 8, 1, done)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	if len(got) > len(ref) {
-		t.Fatalf("cancelled round emitted %d facts, full round %d", len(got), len(ref))
+	_, got := collectSharded(u, variants, base, delta, 8, 1, done)
+	_, ref := collectSharded(u, variants, base, delta, 1, 1, nil)
+	if got > ref {
+		t.Fatalf("cancelled round emitted %d facts, full round %d", got, ref)
 	}
 }
 
@@ -122,10 +130,10 @@ func TestRunShardedCancelled(t *testing.T) {
 // instead of panicking.
 func TestRunShardedClampsArguments(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 16)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	got := collectSharded(u, variants, base, delta, 0, 0, nil)
-	if len(got) != len(ref) {
-		t.Fatalf("clamped run emitted %d facts, serial %d", len(got), len(ref))
+	_, ref := collectSharded(u, variants, base, delta, 1, 1, nil)
+	_, got := collectSharded(u, variants, base, delta, 0, 0, nil)
+	if got != ref {
+		t.Fatalf("clamped run emitted %d facts, serial %d", got, ref)
 	}
 }
 
@@ -155,7 +163,7 @@ func TestRunShardedNegInSnapshot(t *testing.T) {
 	}
 	variants := []DeltaVariant{{Rule: dv, Lit: 0}}
 	base := &Ctx{In: in, NegIn: negIn, Adom: ActiveDomain(u, nil, in)}
-	got := collectSharded(u, variants, base, delta, 4, 2, nil)
+	got, _ := collectSharded(u, variants, base, delta, 4, 2, nil)
 	if len(got) != 16 {
 		t.Fatalf("want 16 facts (odd-indexed P's), got %d: %v", len(got), got)
 	}

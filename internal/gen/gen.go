@@ -194,10 +194,7 @@ func UnarySubset(u *value.Universe, pred, allPred string, n, k int, seed int64) 
 func Merge(ins ...*tuple.Instance) *tuple.Instance {
 	out := tuple.NewInstance()
 	for _, in := range ins {
-		for _, name := range in.Names() {
-			r := in.Relation(name)
-			out.Ensure(name, r.Arity()).UnionInPlace(r)
-		}
+		out.UnionInPlace(in)
 	}
 	return out
 }

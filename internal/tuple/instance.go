@@ -94,6 +94,17 @@ func (in *Instance) Delete(name string, t Tuple) bool {
 	return r != nil && r.Delete(t)
 }
 
+// UnionInPlace inserts every fact of o into in, relation by relation
+// in name order, and reports how many were new.
+func (in *Instance) UnionInPlace(o *Instance) int {
+	added := 0
+	for _, name := range o.Names() {
+		rel := o.rels[name]
+		added += in.Ensure(name, rel.arity).UnionInPlace(rel)
+	}
+	return added
+}
+
 // Names returns the relation names present, sorted.
 func (in *Instance) Names() []string {
 	out := make([]string, 0, len(in.rels))
